@@ -19,11 +19,10 @@ Two cells are recorded:
   heap vs ``REPRO_SIM=reference`` full rescan.  Ratio asserted >= 5.
 * ``det-par`` (gated >= 1): the box algorithm on the same stream under
   the shipping config — ``REPRO_KERNEL=native`` + ``REPRO_SIM=auto`` —
-  vs the forced per-instant reference.  ``auto`` resolves per cell: the
-  native kernel makes event-driven boxes cheap enough to win, while the
-  numpy kernel on this imbalanced stream would fall back to the
-  reference rescan (the ISSUE-10 regression fix).  The resolved backend
-  and native flavor are recorded in the report.
+  vs the forced per-instant reference.  ``auto`` resolves every
+  streamed cell to the event backend on the native and numpy kernel
+  tiers alike.  The resolved backend and native flavor are recorded in
+  the report.
 
 The report lands in ``benchmarks/out/BENCH_stream.json`` **and** the
 committed repo-root ``BENCH_stream.json`` (same idiom as
@@ -140,12 +139,8 @@ def bench_stream_million(benchmark, out_dir, tmp_path):
         clear_kernel_cache()
         return DetPar(DETPAR_CACHE, MISS_COST).run(open_streaming(store))
 
-    stream = open_streaming(store)
     det_backend = _with_env(
-        detpar_env,
-        lambda: resolve_sim_backend(
-            "box-server", streaming=True, p=stream.p, lengths=stream.lengths
-        ),
+        detpar_env, lambda: resolve_sim_backend("box-server", streaming=True)
     )
     det_flavor = _with_env(detpar_env, native_flavor)
 

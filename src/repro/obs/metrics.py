@@ -123,12 +123,12 @@ class Histogram:
         self.sum: float = 0.0
         self.count: int = 0
 
-    def observe(self, v: Number) -> None:
-        """Record one observation."""
+    def observe(self, v: Number, n: int = 1) -> None:
+        """Record ``n`` observations of ``v`` (default one)."""
         v = float(v)
-        self.counts[bisect_left(self.edges, v)] += 1
-        self.sum += v
-        self.count += 1
+        self.counts[bisect_left(self.edges, v)] += n
+        self.sum += v * n
+        self.count += n
 
 
 class _NullMetric:
@@ -145,7 +145,7 @@ class _NullMetric:
     def record_max(self, v: Number) -> None:
         """No-op."""
 
-    def observe(self, v: Number) -> None:
+    def observe(self, v: Number, n: int = 1) -> None:
         """No-op."""
 
 

@@ -4,8 +4,8 @@ The numpy fast path (:mod:`repro.paging.kernel`) already amortizes the
 reuse-distance precompute, but three inner loops remain bound by python
 or by O(window) vectorized work per probe:
 
-* the reuse-distance Fenwick sweep (python loop beyond the vectorized
-  build cutoff, O(n²/chunk) numpy below it),
+* the reuse-distance sweep (a compiled Fenwick loop here; the numpy
+  tier's O(n log n) build pays a sort per pass),
 * the per-box service walk (a cumsum over the whole budget window even
   when the box serves a dozen requests), and
 * the offline green DP relaxation (a python ``zip`` loop over every

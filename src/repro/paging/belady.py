@@ -12,9 +12,9 @@ Implementation notes
 --------------------
 The whole sequence is required up front (the policy is offline).  We
 precompute, for every position ``i``, the index of the next request to the
-same page (``n`` meaning "never again") with one backward pass — the
-standard O(n) trick — then run the simulation with a lazy max-heap of
-``(-next_use, page)`` entries.  Stale heap entries (from pages whose next
+same page (``n`` meaning "never again") with one vectorized stable sort,
+then run the simulation with a lazy max-heap of ``(-next_use, page)``
+entries.  Stale heap entries (from pages whose next
 use was updated or that were already evicted) are discarded on pop, giving
 O(n log n) total.  The hot loop hoists attribute lookups into locals per
 the HPC guide's profiling advice.
@@ -36,16 +36,18 @@ def next_use_indices(requests: Sequence[int]) -> np.ndarray:
     Positions whose page never recurs get ``len(requests)`` (an "infinity"
     that compares correctly against every real index).
 
-    Runs in O(n) with a single backward pass and a dict of last-seen
-    positions.
+    The mirror image of the box kernel's previous-occurrence pass: a
+    stable sort of positions by page lines each page's occurrences up in
+    order, so a position's successor within its page group is its next
+    use.
     """
-    n = len(requests)
+    arr = np.asarray(requests, dtype=np.int64)
+    n = len(arr)
     nxt = np.full(n, n, dtype=np.int64)
-    last_seen: Dict[int, int] = {}
-    for i in range(n - 1, -1, -1):
-        page = int(requests[i])
-        nxt[i] = last_seen.get(page, n)
-        last_seen[page] = i
+    if n > 1:
+        order = np.argsort(arr, kind="stable")
+        same = arr[order[1:]] == arr[order[:-1]]
+        nxt[order[:-1]] = np.where(same, order[1:], n)
     return nxt
 
 
@@ -115,8 +117,6 @@ class BeladySimulation:
     def run(self, limit: int | None = None) -> None:
         """Serve up to ``limit`` further requests (all remaining if None)."""
         end = len(self.requests) if limit is None else min(len(self.requests), self.pos + limit)
-        requests = self.requests
-        next_use = self.next_use
         resident = self.resident
         heap = self._heap
         capacity = self.capacity
@@ -124,10 +124,8 @@ class BeladySimulation:
         pop = heapq.heappop
         hits = self.hits
         faults = self.faults
-        i = self.pos
-        while i < end:
-            page = int(requests[i])
-            nxt = int(next_use[i])
+        start = self.pos
+        for page, nxt in zip(self.requests[start:end].tolist(), self.next_use[start:end].tolist()):
             if page in resident:
                 hits += 1
             else:
@@ -140,8 +138,7 @@ class BeladySimulation:
                             break
             resident[page] = nxt
             push(heap, (-nxt, page))
-            i += 1
-        self.pos = i
+        self.pos = max(start, end)
         self.hits = hits
         self.faults = faults
 

@@ -318,13 +318,13 @@ def execute_profile_streaming(
     serve at most ``miss_cost·h`` requests (each costs >= 1 time unit), so
     only ``[pos, pos + budget)`` ever needs to be resident.
 
-    Under the fast backend, chunks feed an incremental
-    :class:`~repro.paging.kernel.StreamKernel` — one amortized sweep per
-    request, zero window concatenation — and the swept prefix is compacted
-    away as execution advances.  Under ``REPRO_KERNEL=reference``, resident
-    chunks live in a :class:`~collections.deque` (dropping a served chunk
-    is O(1)) and an unchanged resident window is never re-concatenated:
-    front-drops shrink the cached concatenation by view.
+    Under the fast backend, the chunks each box pulls feed an incremental
+    :class:`~repro.paging.kernel.StreamKernel` in one append, and the
+    swept prefix is compacted away as execution advances.  Under
+    ``REPRO_KERNEL=reference``, resident chunks live in a
+    :class:`~collections.deque` (dropping a served chunk is O(1)) and an
+    unchanged resident window is never re-concatenated: front-drops
+    shrink the cached concatenation by view.
     """
     from . import kernel as _kernel
 
@@ -334,6 +334,7 @@ def execute_profile_streaming(
     chunk_it: Iterator[np.ndarray] = iter(chunks)
     stream = _kernel.StreamKernel() if _kernel.kernel_backend() != "reference" else None
     parts: Deque[np.ndarray] = deque()  # reference backend: resident chunks
+    pending: List[np.ndarray] = []  # fast backend: pulled, not yet swept
     base = 0  # global index of parts[0][0]
     loaded = 0  # total requests pulled from the stream so far
     exhausted = False
@@ -357,7 +358,7 @@ def execute_profile_streaming(
                 raise ValueError("chunks must be 1-D request arrays")
             if len(arr):
                 if stream is not None:
-                    stream.append(arr)
+                    pending.append(arr)
                 else:
                     parts.append(arr)
                     cat = None
@@ -379,9 +380,12 @@ def execute_profile_streaming(
         while not exhausted and loaded < pos + budget:
             pull()
         if stream is not None:
+            if pending:
+                stream.append(pending[0] if len(pending) == 1 else np.concatenate(pending))
+                pending.clear()
             # No future box starts before ``pos``, so everything behind it
             # is dead weight; compact once the dead prefix outweighs the
-            # live window (amortizing the Fenwick rebuild).
+            # live window (amortizing the window rebuild).
             dead = pos - stream.base
             if dead >= _kernel.STREAM_COMPACT_MIN and dead >= len(stream) - dead:
                 stream.compact(pos)

@@ -15,8 +15,9 @@ on the *sequence*, not on the box:
 Request ``i`` hits in a box ``(start, height)`` iff ``prev_occ[i] >=
 start`` (its last occurrence is inside the box) **and** ``reuse_dist[i] <
 height`` (it is still among the ``height`` most recent distinct pages).
-Both arrays are computed **once per sequence** by an O(n log n)
-Fenwick-tree sweep; every subsequent box — any ``start``, ``height``,
+Both arrays are computed **once per sequence** by an exact O(n log n)
+numpy build (:func:`_reuse_distances`, a vectorized merge-sort count with
+no length cutoff); every subsequent box — any ``start``, ``height``,
 ``budget`` — is then a handful of numpy array ops: build the hit mask,
 turn it into per-request costs, ``cumsum`` + ``searchsorted`` for the
 budget cutoff.  The offline green-paging DP alone probes the box engine
@@ -29,25 +30,29 @@ every threaded call site fall back to the reference loop, or
 ``REPRO_KERNEL=native`` to route the reuse-distance sweep, the box
 service walk, and the offline DP relaxation through the compiled
 primitives of :mod:`repro.paging._native` (numba when installed, else a
-cc-compiled ctypes library; degrades to the numpy fast path when
-neither is available).  All three tiers produce bit-identical rows.
+cc-compiled ctypes library, whose reuse sweep is a compiled Fenwick
+loop; degrades to the numpy fast path when neither is available).  All
+three tiers produce bit-identical rows.
 
 Two kernel flavors:
 
 * :class:`SequenceKernel` — whole sequence in memory, built once, shared
   through the LRU-bounded module cache (:func:`get_kernel`, keyed by
-  array identity or an explicit content digest);
-* :class:`StreamKernel` — incremental: chunks are appended as a stream
-  delivers them and the swept prefix is compacted away as execution
-  passes it, so bounded-memory streaming keeps bounded memory.
+  array identity or an explicit key, and shared between equal
+  sequences by a hash of their bytes);
+* :class:`StreamKernel` — incremental: the rows a box needs are appended
+  in one step as a stream delivers them, and the swept prefix is
+  compacted away as execution passes it, so bounded-memory streaming
+  keeps bounded memory.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import weakref
 from collections import OrderedDict
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,7 +79,7 @@ KERNEL_ENV = "REPRO_KERNEL"
 
 #: Streaming compaction threshold: the dead prefix must reach this many
 #: requests *and* at least the live window before a compaction pays for its
-#: Fenwick rebuild.  Module-level so tests can shrink it to force the path.
+#: window rebuild.  Module-level so tests can shrink it to force the path.
 STREAM_COMPACT_MIN = 256
 
 #: Sentinel reuse distance for requests with no usable previous occurrence.
@@ -93,63 +98,75 @@ _SCALAR_MAX = 128
 #: overhead ~_PLAN_BLOCK-fold over the per-probe path.
 _PLAN_BLOCK = 32
 
-#: The chunked vectorized reuse-distance build does O(n²/chunk) work in
-#: its cross-chunk prefix counts, so it only runs below this length; the
-#: O(n log n) Fenwick sweep takes over beyond it.
-_VEC_BUILD_MAX = 16384
-_BUILD_CHUNK = 128
 
+def _prev_occurrence(arr: np.ndarray) -> np.ndarray:
+    """Index of each request's previous occurrence (``-1`` for a first one).
 
-def _reuse_vectorized(prev: np.ndarray, nxt: np.ndarray, n: int, start: int = 0) -> np.ndarray:
-    """Chunked numpy reuse-distance computation (no per-request Python).
-
-    Position ``x`` stops being its page's most recent occurrence — is
-    *deleted* — once ``nxt[x]`` has passed, so for ``j = prev[i]``::
-
-        reuse[i] = #actives in (j, i) = (i - 1 - j) - #{x in (j, i): nxt[x] < i}
-
-    Per chunk ``[a, b)``, the deleted count splits into parts that are
-    each one cumsum away: pairs with ``j >= a`` read a within-chunk
-    matrix ``W[x, i] = nxt[x] < i``; pairs reaching back past ``a`` add
-    pre-chunk positions already dead at the chunk start (a prefix count
-    over ``nxt < a``) and pre-chunk positions dying inside the chunk
-    (their killers ``y = nxt[x]`` lie in the chunk, so ``x = prev[y]``
-    ranges over one chunk-sized array).
-
-    ``start`` restricts the computation to positions ``>= start``
-    (positions below it come back ``_COLD``): the streaming kernel knows
-    reuse distances of already-swept rows can never change, so it only
-    pays for the appended suffix.
+    Stable-sorting positions by page lines each page's occurrences up in
+    stream order, so a position's predecessor within its page group is
+    its previous occurrence.
     """
+    n = len(arr)
+    prev = np.full(n, -1, dtype=np.int64)
+    if n > 1:
+        order = np.argsort(arr, kind="stable")
+        same = arr[order[1:]] == arr[order[:-1]]
+        prev[order[1:]] = np.where(same, order[:-1], -1)
+    return prev
+
+
+def _reuse_distances(prev: np.ndarray, start: int = 0) -> np.ndarray:
+    """Exact ``reuse_dist`` from ``prev_occ`` in O(n log n) numpy work.
+
+    With ``j = prev[i]``, each position in ``(j, i)`` is one distinct page
+    unless its page recurs before ``i``.  A position ``x`` recurring at
+    ``y < i`` shows up as ``prev[y] = x > j``, and each ``x`` is the
+    previous occurrence of at most one ``y``, so::
+
+        reuse[i] = (i - 1 - j) - #{y < i : prev[y] > j}
+
+    The count is a per-row inversion count (earlier rows with a larger
+    ``prev``), done as a bottom-up merge sort in ⌈log₂ n⌉ vectorized
+    passes.  The pass for half-width ``L`` stable-sorts each aligned
+    ``2L``-row block by ``prev`` (its two halves arrive sorted from the
+    previous pass).  A right-half row's merged rank minus its rank within
+    its own half is the number of left-half rows sorted before it, so the
+    other left-half rows are earlier in the sequence with a larger
+    ``prev``.  Over all passes the left halves tile ``[0, i)`` exactly
+    once.  ``prev`` values repeat only as ``-1``, so ties never touch a
+    warm row.
+
+    ``start`` computes only rows ``>= start`` (rows below come back
+    ``_COLD``): the passes run over the suffix, and the rows before it
+    count through one sort of their ``prev`` values and a
+    ``searchsorted`` — the streaming kernel's incremental append.
+    """
+    n = len(prev)
     reuse = np.full(n, _COLD, dtype=np.int64)
-    step = _BUILD_CHUNK
-    for a in range(start, n, step):
-        b = min(n, a + step)
-        prev_c = prev[a:b]
-        warm = prev_c >= 0
-        if not warm.any():
-            continue
-        m = b - a
-        idx = np.arange(a, b, dtype=np.int64)
-        irel = np.arange(m)
-        prefix = np.maximum(irel - 1, 0)
-        W = nxt[a:b, np.newaxis] < idx[np.newaxis, :]
-        Wc = W.cumsum(axis=0, dtype=np.int32)
-        top_w = np.where(irel > 0, Wc[prefix, irel], 0)
-        jrel = prev_c - a
-        within = jrel >= 0
-        d_within = top_w - Wc[np.maximum(jrel, 0), irel]
-        if a > 0:
-            dead_at_a = np.cumsum(nxt[:a] < a, dtype=np.int64)
-            g1 = dead_at_a[a - 1] - dead_at_a[np.clip(prev_c, 0, a - 1)]
-            pre_chunk_kill = warm & (prev_c < a)
-            N = (prev_c[:, np.newaxis] > prev_c[np.newaxis, :]) & pre_chunk_kill[:, np.newaxis]
-            Nc = N.cumsum(axis=0, dtype=np.int32)
-            g2 = np.where(irel > 0, Nc[prefix, irel], 0)
-            dead = np.where(within, d_within, g1 + g2 + top_w)
-        else:
-            dead = d_within
-        reuse[a:b] = np.where(warm, (idx - 1 - prev_c) - dead, _COLD)
+    m = n - start
+    if m <= 0:
+        return reuse
+    j = prev[start:]
+    pos = np.arange(m, dtype=np.int64)
+    vals = j + 1  # sort key within a block; 0 for first occurrences
+    perm = pos  # original suffix row at each sorted position
+    later = np.zeros(m, dtype=np.int64)  # per sorted position
+    shift = (n + 1).bit_length()
+    lvl = 0
+    while (1 << lvl) < m:
+        half = 1 << lvl
+        order = np.argsort(((pos >> (lvl + 1)) << shift) | vals, kind="stable")
+        perm = perm[order]
+        vals = vals[order]
+        later = later[order]
+        # right-half rows: left-half rows merged after them
+        later += ((perm & half) != 0) * (half - (pos & (2 * half - 1)) + (order & (half - 1)))
+        lvl += 1
+    dead = np.empty(m, dtype=np.int64)
+    dead[perm] = later
+    if start:
+        dead += start - np.searchsorted(np.sort(prev[:start]), j, side="right")
+    reuse[start:] = np.where(j >= 0, (pos + (start - 1) - j) - dead, _COLD)
     return reuse
 
 
@@ -267,12 +284,12 @@ class _KernelOps:
 class SequenceKernel(_KernelOps):
     """Per-sequence reuse-distance precompute for the fast box engine.
 
-    Construction computes ``prev_occ``/``reuse_dist`` once — a chunked
-    vectorized pass for typical lengths, an O(n log n) Fenwick sweep
-    beyond ``_VEC_BUILD_MAX``; every box probe afterwards is
-    O(min(budget, n - start)) vectorized work.  Instances
-    are immutable in spirit — share them freely across boxes, heights,
-    algorithms, and DP solves on the same sequence (see :func:`get_kernel`).
+    Construction computes ``prev_occ``/``reuse_dist`` once, in
+    O(n log n) vectorized work at every length
+    (:func:`_reuse_distances`); every box probe afterwards is
+    O(min(budget, n - start)) vectorized work.  Instances are immutable
+    in spirit — share them freely across boxes, heights, algorithms, DP
+    solves, and equal sequences (see :func:`get_kernel`).
     """
 
     __slots__ = (
@@ -291,56 +308,17 @@ class SequenceKernel(_KernelOps):
         self._hand = None
         n = len(arr)
         self._n = n
-        # prev_occ fully vectorized: stable-sort positions by page, then
-        # each position's predecessor within its page group is its
-        # previous occurrence.
-        prev = np.full(n, -1, dtype=np.int64)
-        if n:
-            order = np.argsort(arr, kind="stable")
-            same = arr[order[1:]] == arr[order[:-1]]
-            prev[order[1:]] = np.where(same, order[:-1], -1)
+        prev = _prev_occurrence(arr)
         ops = _active_native()
         self._ops = ops
+        self._prev = prev
         if n and ops is not None:
-            # compiled Fenwick sweep: O(n log n) with a C/jit constant,
-            # bit-identical to both pure-python forms below
+            # compiled Fenwick sweep, bit-identical to the numpy build
             reuse = np.empty(n, dtype=np.int64)
             ops.reuse_sweep(prev, 0, n, _COLD, np.zeros(n + 1, dtype=np.int64), n, reuse)
-            self._prev = prev
             self._reuse = reuse
-        elif n and n <= _VEC_BUILD_MAX:
-            nxt = np.full(n, n, dtype=np.int64)
-            nxt[order[:-1]] = np.where(same, order[1:], n)
-            self._prev = prev
-            self._reuse = _reuse_vectorized(prev, nxt, n)
         else:
-            # Fenwick sweep for reuse_dist, in deletion form: position j
-            # is marked once its page reoccurs, so the distinct count
-            # between an occurrence pair is the gap length minus the
-            # marks inside it (cf. the most-recent-flag form in
-            # repro.paging.stack, which pays an extra O(log n) insert per
-            # request — including every cold one; this form does BIT work
-            # only on warm requests).
-            tree = [0] * (n + 1)
-            reuse_l = [_COLD] * n
-            for i, j in enumerate(prev.tolist()):
-                if j >= 0:
-                    acc = i - 1 - j  # gap length, minus marks in (j, i):
-                    x = i  # deleted in 1-indexed prefix [1, i] = pos < i
-                    while x > 0:
-                        acc -= tree[x]
-                        x -= x & -x
-                    x = j + 1  # add back deleted at positions <= j
-                    while x > 0:
-                        acc += tree[x]
-                        x -= x & -x
-                    reuse_l[i] = acc
-                    x = j + 1  # j is no longer its page's latest occurrence
-                    while x <= n:
-                        tree[x] += 1
-                        x += x & -x
-            self._prev = prev
-            self._reuse = np.array(reuse_l, dtype=np.int64)
+            self._reuse = _reuse_distances(prev)
 
     @classmethod
     def from_precomputed(
@@ -722,12 +700,15 @@ def native_dp_solve(
 class StreamKernel(_KernelOps):
     """Incremental reuse-distance kernel over a stream of chunks.
 
-    ``prev_occ``/``reuse_dist`` only ever look backwards, so appending a
-    chunk can never change an already-swept row: :meth:`append`
-    concatenates the chunk onto the retained window and runs the same
+    ``prev_occ``/``reuse_dist`` only ever look backwards, so appending
+    rows can never change an already-swept one: :meth:`append`
+    concatenates the new rows onto the retained window and runs the same
     vectorized build :class:`SequenceKernel` uses, restricted to the new
-    suffix — O(window) numpy work per chunk instead of O(log window)
-    Python work per request.  :meth:`compact` drops the already-served
+    suffix — one sort of the retained window plus O(c log c) work for
+    ``c`` new rows.  Each append re-reads the window, so callers append
+    everything a box needs at once
+    (:class:`repro.parallel.streaming.BoxFeed` makes one append per box,
+    not one per store chunk).  :meth:`compact` drops the already-served
     prefix (the stream engine never starts a box before its execution
     position), so resident state stays proportional to the active
     window — the same bound the chunked reference path guarantees.
@@ -770,7 +751,7 @@ class StreamKernel(_KernelOps):
         return self.base + self._n
 
     def append(self, chunk: np.ndarray) -> None:
-        """Sweep one more chunk of the stream into the kernel."""
+        """Sweep the next rows of the stream (one or more chunks) into the kernel."""
         arr = np.ascontiguousarray(chunk, dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError("chunks must be 1-D request arrays")
@@ -779,14 +760,10 @@ class StreamKernel(_KernelOps):
         old = self._n
         window = np.concatenate([self._window, arr]) if old else arr.copy()
         n = len(window)
-        # prev/nxt over the whole window (cheap vectorized sorts); rows
-        # whose true previous occurrence was compacted away come back -1,
-        # which the box predicate treats exactly like the old clamped
-        # negative offsets.
-        prev = np.full(n, -1, dtype=np.int64)
-        order = np.argsort(window, kind="stable")
-        same = window[order[1:]] == window[order[:-1]]
-        prev[order[1:]] = np.where(same, order[:-1], -1)
+        # prev over the whole window; rows whose true previous occurrence
+        # was compacted away come back -1, which the box predicate treats
+        # exactly like the old clamped negative offsets
+        prev = _prev_occurrence(window)
         ops = self._ops
         if ops is not None:
             # compiled Fenwick sweep: rows [0, old) feed their tree marks
@@ -794,9 +771,7 @@ class StreamKernel(_KernelOps):
             reuse = np.empty(n, dtype=np.int64)
             ops.reuse_sweep(prev, old, n, _COLD, np.zeros(n + 1, dtype=np.int64), n, reuse)
         else:
-            nxt = np.full(n, n, dtype=np.int64)
-            nxt[order[:-1]] = np.where(same, order[1:], n)
-            reuse = _reuse_vectorized(prev, nxt, n, start=old)
+            reuse = _reuse_distances(prev, start=old)
         # already-swept rows keep their stored values (they cannot change)
         reuse[:old] = self._reuse
         self._window = window
@@ -930,8 +905,12 @@ def run_box_fast(
 # --------------------------------------------------------------------- #
 # kernel cache
 # --------------------------------------------------------------------- #
-#: key -> (weakref-to-array-or-None, kernel).  Ordered for LRU eviction.
-_CACHE: "OrderedDict[Tuple[str, Hashable], Tuple[Optional[weakref.ref], SequenceKernel]]" = OrderedDict()
+#: key -> (weakref-to-array-or-None, kernel, content digest).  Ordered
+#: for LRU eviction.
+_CACHE: "OrderedDict[Tuple[str, Hashable], Tuple[Optional[weakref.ref], SequenceKernel, bytes]]" = OrderedDict()
+#: content digest -> [kernel, number of _CACHE entries holding it], so
+#: equal sequences share one kernel and count its elements once.
+_BY_CONTENT: Dict[bytes, list] = {}
 
 _CACHE_MAX_ENTRIES = 64
 #: Bound on total cached elements (~16 B/request), so huge traces cannot
@@ -940,13 +919,55 @@ _CACHE_MAX_ELEMENTS = 32_000_000
 _cache_elements = 0
 
 
-def _evict_until_bounded() -> None:
+def _content_digest(seq: np.ndarray) -> bytes:
+    arr = np.ascontiguousarray(seq, dtype=np.int64)
+    h = hashlib.blake2b(repr(arr.shape).encode(), digest_size=16)
+    h.update(arr)
+    return h.digest()
+
+
+def _drop(ck: Tuple[str, Hashable]) -> None:
     global _cache_elements
+    _, kern, digest = _CACHE.pop(ck)
+    holder = _BY_CONTENT[digest]
+    holder[1] -= 1
+    if not holder[1]:
+        del _BY_CONTENT[digest]
+        _cache_elements -= len(kern)
+
+
+def _install(
+    seq: np.ndarray, key: Optional[Hashable], build: Callable[[], SequenceKernel]
+) -> SequenceKernel:
+    """Cache a kernel for ``seq`` under ``key`` (or its identity), sharing
+    the live kernel of any equal sequence instead of calling ``build``."""
+    global _cache_elements
+    ref = None
+    if key is not None:
+        ck: Tuple[str, Hashable] = ("key", key)
+    else:
+        ck = ("id", id(seq))
+        try:
+            ref = weakref.ref(seq)
+        except TypeError:  # non-weakref-able sequence types: don't cache
+            pass
+    if ck in _CACHE:
+        _drop(ck)  # stale id from a dead array
+    digest = _content_digest(seq)
+    holder = _BY_CONTENT.get(digest)
+    kern = holder[0] if holder is not None else build()
+    if key is None and ref is None:
+        return kern
+    if holder is None:
+        holder = _BY_CONTENT[digest] = [kern, 0]
+        _cache_elements += len(kern)
+    holder[1] += 1
+    _CACHE[ck] = (ref, kern, digest)
     while _CACHE and (
         len(_CACHE) > _CACHE_MAX_ENTRIES or _cache_elements > _CACHE_MAX_ELEMENTS
     ):
-        _, (_, old) = _CACHE.popitem(last=False)
-        _cache_elements -= len(old)
+        _drop(next(iter(_CACHE)))
+    return kern
 
 
 def get_kernel(seq: np.ndarray, key: Optional[Hashable] = None) -> SequenceKernel:
@@ -955,41 +976,21 @@ def get_kernel(seq: np.ndarray, key: Optional[Hashable] = None) -> SequenceKerne
     With ``key=None`` the cache entry is keyed on the array's object
     identity and guarded by a weak reference, so a recycled ``id()`` can
     never alias a dead array.  Pass an explicit ``key`` (e.g. a trace
-    ``content_digest`` plus processor index) when the same bytes arrive
-    as different array objects — registry-backed workloads reuse one
-    kernel across algorithms, seeds, and whole experiment sweeps.
+    ``content_digest`` plus processor index) to skip hashing when the
+    same bytes arrive as different array objects — registry-backed
+    workloads reuse one kernel across algorithms, seeds, and whole
+    experiment sweeps.  On a miss the sequence's bytes are hashed, and a
+    live kernel of an equal sequence is shared rather than rebuilt (its
+    ``seq`` attribute keeps the first array it was built from).
 
     The cache is LRU-bounded both in entries and in total cached
     elements; :func:`clear_kernel_cache` empties it.
     """
-    global _cache_elements
-    if key is not None:
-        ck: Tuple[str, Hashable] = ("key", key)
-        entry = _CACHE.get(ck)
-        if entry is not None:
-            _CACHE.move_to_end(ck)
-            return entry[1]
-        kern = SequenceKernel(seq)
-        _CACHE[ck] = (None, kern)
-    else:
-        ck = ("id", id(seq))
-        entry = _CACHE.get(ck)
-        if entry is not None:
-            ref = entry[0]
-            if ref is not None and ref() is seq:
-                _CACHE.move_to_end(ck)
-                return entry[1]
-            _CACHE.pop(ck)  # stale id from a dead array
-            _cache_elements -= len(entry[1])
-        kern = SequenceKernel(seq)
-        try:
-            ref = weakref.ref(seq)
-        except TypeError:  # non-weakref-able sequence types: don't cache
-            return kern
-        _CACHE[ck] = (ref, kern)
-    _cache_elements += len(kern)
-    _evict_until_bounded()
-    return kern
+    kern = peek_kernel(seq, key=key)
+    if kern is not None:
+        _CACHE.move_to_end(("key", key) if key is not None else ("id", id(seq)))
+        return kern
+    return _install(seq, key, lambda: SequenceKernel(seq))
 
 
 def maybe_kernel(seq: np.ndarray, key: Optional[Hashable] = None) -> Optional[SequenceKernel]:
@@ -1038,26 +1039,15 @@ def seed_kernel(
     what :class:`SequenceKernel` would compute for ``seq`` — callers are
     trusted (the arrays come from a kernel on the parent side).
     """
-    global _cache_elements
     existing = peek_kernel(seq, key=key)
     if existing is not None:
         return existing
-    kern = SequenceKernel.from_precomputed(seq, prev, reuse)
-    if key is not None:
-        _CACHE[("key", key)] = (None, kern)
-    else:
-        try:
-            ref = weakref.ref(seq)
-        except TypeError:
-            return kern
-        _CACHE[("id", id(seq))] = (ref, kern)
-    _cache_elements += len(kern)
-    _evict_until_bounded()
-    return kern
+    return _install(seq, key, lambda: SequenceKernel.from_precomputed(seq, prev, reuse))
 
 
 def clear_kernel_cache() -> None:
     """Drop every cached kernel (tests and memory-pressure escape hatch)."""
     global _cache_elements
     _CACHE.clear()
+    _BY_CONTENT.clear()
     _cache_elements = 0

@@ -20,7 +20,8 @@ processor spanning its run) so the metrics pipeline treats them uniformly.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import functools
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,22 +90,75 @@ class EqualPartition:
         )
 
 
-def _min_capacity_for_target(seq: np.ndarray, target: int, k_max: int, s: int) -> Optional[int]:
+def _min_capacity_for_target(
+    times: Callable[[int, int], int], proc: int, target: int, k_max: int
+) -> Optional[int]:
     """Smallest capacity whose Belady service time is <= target (None if none).
 
     Belady's fault count is nonincreasing in capacity (no anomaly), so the
     service time is monotone and a binary search is sound.
     """
-    if min_service_time(seq, k_max, s) > target:
+    if times(proc, k_max) > target:
         return None
     lo, hi = 1, k_max
     while lo < hi:
         mid = (lo + hi) // 2
-        if min_service_time(seq, mid, s) <= target:
+        if times(proc, mid) <= target:
             hi = mid
         else:
             lo = mid + 1
     return lo
+
+
+def _static_partition(
+    workload: ParallelWorkload, cache_size: int, miss_cost: int
+) -> Tuple[int, List[int], Callable[[int, int], int]]:
+    """:func:`static_partition_makespan` plus its Belady service times.
+
+    The nested binary searches ask the same (processor, capacity) pairs
+    many times over, so ``times`` runs :func:`min_service_time` once per
+    distinct pair and is returned for the caller's final per-share pass.
+    """
+    p = workload.p
+    if p < 1:
+        raise ValueError("workload must have at least one processor")
+    if cache_size < p:
+        raise ValueError(f"cache_size={cache_size} cannot give every one of {p} processors a page")
+    sequences = workload.sequences
+    lengths = [len(seq) for seq in sequences]
+
+    @functools.lru_cache(maxsize=None)
+    def times(proc: int, capacity: int) -> int:
+        return min_service_time(sequences[proc], capacity, miss_cost)
+
+    def allocation_for(target: int) -> Optional[List[int]]:
+        alloc: List[int] = []
+        for i, n in enumerate(lengths):
+            if n == 0:
+                alloc.append(0)
+                continue
+            c = _min_capacity_for_target(times, i, target, cache_size)
+            if c is None:
+                return None
+            alloc.append(c)
+        return alloc if sum(alloc) <= cache_size else None
+
+    lo = max(lengths, default=0)  # every request >= 1 step
+    hi = max(
+        (times(i, max(1, cache_size // p)) for i, n in enumerate(lengths) if n),
+        default=0,
+    )
+    if hi == 0:
+        return 0, [0] * p, times
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if allocation_for(mid) is not None:
+            hi = mid
+        else:
+            lo = mid + 1
+    alloc = allocation_for(lo)
+    assert alloc is not None
+    return lo, alloc, times
 
 
 def static_partition_makespan(workload: ParallelWorkload, cache_size: int, miss_cost: int) -> Tuple[int, List[int]]:
@@ -115,43 +169,8 @@ def static_partition_makespan(workload: ParallelWorkload, cache_size: int, miss_
     Uses Belady per processor (clairvoyant), so this is a *lower bound* on
     anything a static partition with an online policy can do.
     """
-    p = workload.p
-    if p < 1:
-        raise ValueError("workload must have at least one processor")
-    if cache_size < p:
-        raise ValueError(f"cache_size={cache_size} cannot give every one of {p} processors a page")
-    s = miss_cost
-
-    def allocation_for(target: int) -> Optional[List[int]]:
-        alloc: List[int] = []
-        remaining = cache_size
-        for seq in workload.sequences:
-            if len(seq) == 0:
-                alloc.append(0)
-                continue
-            c = _min_capacity_for_target(seq, target, cache_size, s)
-            if c is None:
-                return None
-            alloc.append(c)
-            remaining -= c
-        return alloc if sum(alloc) <= cache_size else None
-
-    lo = max((len(seq) for seq in workload.sequences), default=0)  # every request >= 1 step
-    hi = max(
-        (min_service_time(seq, max(1, cache_size // p), s) for seq in workload.sequences if len(seq)),
-        default=0,
-    )
-    if hi == 0:
-        return 0, [0] * p
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if allocation_for(mid) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    alloc = allocation_for(lo)
-    assert alloc is not None
-    return lo, alloc
+    makespan, alloc, _ = _static_partition(workload, cache_size, miss_cost)
+    return makespan, alloc
 
 
 class BestStaticPartition:
@@ -171,13 +190,13 @@ class BestStaticPartition:
         """Search the optimal static split, then run Belady per share."""
         s = self.miss_cost
         p = workload.p
-        _, alloc = static_partition_makespan(workload, self.cache_size, s)
+        _, alloc, times = _static_partition(workload, self.cache_size, s)
         completion = np.zeros(p, dtype=np.int64)
         trace: List[BoxRecord] = []
         for i, seq in enumerate(workload.sequences):
             if len(seq) == 0 or alloc[i] == 0:
                 continue
-            t = min_service_time(seq, alloc[i], s)
+            t = times(i, alloc[i])
             completion[i] = t
             faults = (t - len(seq)) // (s - 1)
             trace.append(

@@ -67,26 +67,16 @@ def sim_backend() -> str:
     )
 
 
-def resolve_sim_backend(
-    cell: str,
-    *,
-    streaming: bool = False,
-    p: int = 1,
-    lengths: Optional[Sequence[int]] = None,
-) -> str:
+def resolve_sim_backend(cell: str, *, streaming: bool = False) -> str:
     """Resolve ``sim_backend()`` to a concrete backend for one simulator cell.
 
-    Under ``REPRO_SIM=auto`` this applies a per-cell heuristic; any other
-    setting passes straight through.  The heuristic encodes what the
-    stream benchmark measures: the event backend wins whenever box probes
-    are vectorized cheaply (the native kernel tier, or non-streamed runs
-    where :class:`~repro.paging.kernel.SequenceKernel` probes amortize),
-    and loses only on streamed per-chunk serving with the numpy-only
-    kernel on heavily imbalanced feeds, where per-box overhead on
-    mostly-tiny boxes dominates.  Every resolution is recorded under the
-    ``sim.backend.auto`` counter with the cell name, the chosen backend,
-    and the deciding reason, so benchmark rows can assert which simulator
-    actually ran.
+    Under ``REPRO_SIM=auto`` every cell runs the event backend unless the
+    kernel tier is the dict-LRU reference, where there are no kernel
+    probes to batch; any other setting passes straight through.  Every
+    resolution is recorded under the ``sim.backend.auto`` counter with the
+    cell name, the chosen backend, and the deciding reason (``batch`` or
+    ``streamed`` for the event backend), so benchmark rows can assert
+    which simulator actually ran.
     """
     mode = sim_backend()
     if mode != "auto":
@@ -96,24 +86,8 @@ def resolve_sim_backend(
 
     if kernel_backend() == "reference":
         choice, reason = "reference", "kernel-reference"
-    elif not streaming:
-        choice, reason = "event", "batch"
-    elif kernel_backend() == "native":
-        choice, reason = "event", "native-kernel"
     else:
-        # streamed serving on the numpy kernel: tiny-box overhead is the
-        # risk, and it grows with feed imbalance (many processors slaved
-        # to one long feed => many short boxes per long-feed chunk)
-        imbalance = 1.0
-        if lengths:
-            sizes = [max(0, int(x)) for x in lengths]
-            mean = sum(sizes) / len(sizes)
-            if mean > 0:
-                imbalance = max(sizes) / mean
-        if p > 1 and imbalance > 4.0:
-            choice, reason = "reference", "streamed-imbalanced"
-        else:
-            choice, reason = "event", "streamed-balanced"
+        choice, reason = "event", "streamed" if streaming else "batch"
     obs_metrics.counter("sim.backend.auto", cell=cell, choice=choice, reason=reason).inc()
     return choice
 

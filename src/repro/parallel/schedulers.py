@@ -28,6 +28,7 @@ and accepts in-memory, memmapped, and
 from __future__ import annotations
 
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Protocol, Union, runtime_checkable
 
@@ -208,16 +209,27 @@ def _record_run_metrics(result: ParallelRunResult) -> None:
     transitions = 0
     last_height: Dict[int, int] = {}
     hist = reg.histogram("sim.parallel.box_height", algorithm=alg)
+    # tallied locally, then folded in once per metric: on runs with many
+    # tiny boxes (E7) a registry lookup per box cost nearly as much as the
+    # simulation itself
+    boxes: Dict[str, int] = defaultdict(int)
+    served: Dict[int, int] = defaultdict(int)
+    heights: Dict[int, int] = defaultdict(int)
     for box in result.trace:
-        tag = box.tag or "untagged"
-        reg.counter("sim.parallel.boxes", algorithm=alg, tag=tag).inc()
-        reg.counter("sim.parallel.served", algorithm=alg, proc=box.proc).inc(box.served)
+        boxes[box.tag or "untagged"] += 1
+        served[box.proc] += box.served
         stall += max(0, box.duration - (box.hits + s * box.faults))
         prev = last_height.get(box.proc)
         if prev is not None and prev != box.height:
             transitions += 1
         last_height[box.proc] = box.height
-        hist.observe(box.height)
+        heights[box.height] += 1
+    for tag, n in boxes.items():
+        reg.counter("sim.parallel.boxes", algorithm=alg, tag=tag).inc(n)
+    for proc, n in served.items():
+        reg.counter("sim.parallel.served", algorithm=alg, proc=proc).inc(n)
+    for height, n in heights.items():
+        hist.observe(height, n)
     if result.trace:
         reg.counter("sim.parallel.stall_time", algorithm=alg).inc(stall)
         reg.counter("sim.parallel.height_transitions", algorithm=alg).inc(transitions)

@@ -156,18 +156,31 @@ class BoxFeed:
         self._covered = 0  # kernel.end mirror: append-coverage fast path
 
     def ensure(self, upto: int) -> None:
-        """Sweep chunks until the kernel covers global position ``upto``."""
+        """Sweep chunks until the kernel covers global position ``upto``.
+
+        The chunks one box needs are swept in a single append: each
+        append re-reads the retained window once, so a tall box costs one
+        window pass, not one per store chunk.
+        """
+        kernel = self.kernel
         target = min(int(upto), self.length)
-        while self.kernel.end < target and not self._exhausted:
+        end = kernel.end
+        parts: List[np.ndarray] = []
+        while end < target and not self._exhausted:
             try:
-                self.kernel.append(next(self._chunks))
+                chunk = next(self._chunks)
             except StopIteration:
                 self._exhausted = True
-        if self.kernel.end < target:
+                break
+            parts.append(chunk)
+            end += len(chunk)
+        if parts:
+            kernel.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
+        if kernel.end < target:
             raise ValueError(
-                f"stream ended at {self.kernel.end} before declared length {self.length}"
+                f"stream ended at {kernel.end} before declared length {self.length}"
             )
-        self._covered = self.kernel.end
+        self._covered = kernel.end
 
     def serve(self, pos: int, height: int, budget: int, miss_cost: int) -> BoxRun:
         """Run one box at ``pos``; returns the bit-identical ``BoxRun``.
@@ -209,15 +222,9 @@ class BoxServer:
         self.miss_cost = int(miss_cost)
         self.streaming = isinstance(workload, StreamingWorkload)
         self.p = int(workload.p)
+        self.backend = resolve_sim_backend("box-server", streaming=self.streaming)
         if self.streaming:
-            lengths: Tuple[int, ...] = tuple(workload.lengths)
-        else:
-            lengths = tuple(len(sq) for sq in workload.sequences)
-        self.backend = resolve_sim_backend(
-            "box-server", streaming=self.streaming, p=self.p, lengths=lengths
-        )
-        if self.streaming:
-            self.lengths = lengths
+            self.lengths: Tuple[int, ...] = tuple(workload.lengths)
             self.digest: Optional[str] = workload.content_digest
             if self.backend == "event":
                 self._feeds = [
@@ -231,7 +238,7 @@ class BoxServer:
                 self._seqs = [workload.column(i) for i in range(self.p)]
         else:
             seqs = workload.sequences
-            self.lengths = lengths
+            self.lengths = tuple(len(sq) for sq in seqs)
             self.digest = getattr(workload, "content_digest", None)
             self._seqs = seqs
             self._feeds = None

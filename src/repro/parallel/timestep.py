@@ -77,7 +77,7 @@ class GlobalLRU:
         done = [n[i] == 0 for i in range(p)]
         completion = np.zeros(p, dtype=np.int64)
         cache = LRUCache(self.cache_size)
-        if resolve_sim_backend("global-lru", p=p, lengths=n) == "event":
+        if resolve_sim_backend("global-lru") == "event":
             self._run_event(feeds, n, done, completion, cache)
         else:
             self._run_reference(feeds, n, done, completion, cache)

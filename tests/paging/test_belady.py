@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.paging import BeladySimulation, LRUCache, belady_faults, min_service_time, next_use_indices
@@ -28,6 +28,28 @@ class TestNextUse:
     def test_all_distinct(self):
         nxt = next_use_indices([1, 2, 3])
         assert nxt.tolist() == [3, 3, 3]
+
+    @staticmethod
+    def _backward_pass(seq):
+        """The classic O(n) dict loop the vectorized form replaced."""
+        n = len(seq)
+        nxt, last_seen = [n] * n, {}
+        for i in range(n - 1, -1, -1):
+            nxt[i] = last_seen.get(seq[i], n)
+            last_seen[seq[i]] = i
+        return nxt
+
+    @given(seq=st.lists(st.integers(-3, 12), max_size=200))
+    @example(seq=[])
+    @example(seq=[5])
+    @example(seq=[7] * 9)
+    @example(seq=list(range(6)) * 3)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_backward_pass(self, seq):
+        for form in (seq, np.asarray(seq, dtype=np.int64)):
+            nxt = next_use_indices(form)
+            assert nxt.dtype == np.int64
+            assert nxt.tolist() == self._backward_pass(seq)
 
 
 def _brute_force_min_faults(seq, capacity):

@@ -6,10 +6,10 @@ reuse-distance precompute, so every observable — endpoints, hit/fault
 splits, time used, DP impacts, sim.* metrics — must match *exactly*,
 not approximately.  These tests pin that equivalence property-style
 (hypothesis drives sequences, starts, heights, budgets) and pin the
-operational surface around it: the internal scalar/vectorized paths and
-the chunked reuse build, the ladder plan the offline DP probes, the
-streaming kernel, the kernel cache, and the ``REPRO_KERNEL`` escape
-hatch.
+operational surface around it: the internal scalar/vectorized paths,
+the reuse-distance build against its brute-force definition, the ladder
+plan the offline DP probes, the streaming kernel, the kernel cache, and
+the ``REPRO_KERNEL`` escape hatch.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import repro.paging.kernel as kernel_mod
 from repro.core.box import HeightLattice
 from repro.core.distributions import make_distribution
 from repro.green.offline import optimal_box_profile
+from repro.paging._native import native_ops
 from repro.paging.engine import run_box
 from repro.paging.kernel import (
     KERNEL_ENV,
@@ -86,19 +87,90 @@ def test_scalar_walk_defers_to_vectorized_on_long_boxes():
     assert got.served > kernel_mod._SCALAR_MAX
 
 
-def test_reuse_build_vectorized_matches_fenwick(monkeypatch):
-    # The chunked numpy build and the O(n log n) Fenwick sweep are two
-    # implementations of the same precompute; cross-check them across
-    # chunk-boundary lengths.
+def _brute_force_reuse(seq):
+    """O(n²) definitions: previous occurrence, and the number of distinct
+    pages strictly between it and the request (``None`` when cold)."""
+    prev, reuse, last = [], [], {}
+    for i, page in enumerate(seq):
+        j = last.get(page, -1)
+        prev.append(j)
+        reuse.append(len(set(seq[j + 1 : i])) if j >= 0 else None)
+        last[page] = i
+    return prev, reuse
+
+
+#: Lengths where the build's dyadic passes change shape: empty, tiny,
+#: around the old 128-row chunk, and one off every power of two.
+_EDGE_LENGTHS = sorted({0, 1, 2, 3, 127, 128, 129} | {2**k + d for k in range(2, 10) for d in (-1, 1)})
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_reuse_dist_matches_brute_force_definition(data):
+    n = data.draw(st.sampled_from(_EDGE_LENGTHS), label="n")
+    pages = data.draw(st.integers(min_value=1, max_value=2 * n + 1), label="pages")
+    seq = data.draw(st.lists(st.integers(0, pages - 1), min_size=n, max_size=n), label="seq")
+    kern = SequenceKernel(np.asarray(seq, dtype=np.int64))
+    prev, reuse = _brute_force_reuse(seq)
+    assert kern.prev_occ.tolist() == prev
+    cold = int(np.iinfo(np.int64).max)
+    assert kern.reuse_dist.tolist() == [cold if r is None else r for r in reuse]
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_stream_kernel_any_append_and_compact_schedule_matches_sequence_kernel(data):
+    seq = data.draw(st.lists(st.integers(0, 15), max_size=300), label="seq")
+    arr = np.asarray(seq, dtype=np.int64)
+    n = len(arr)
+    whole = SequenceKernel(arr)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=8), label="cuts"))
+    pieces = np.split(arr, cuts)
+
+    # one batched append and any split into smaller appends both sweep
+    # exactly the sequence kernel's arrays
+    for chunks in ([arr], pieces):
+        stream = StreamKernel()
+        for piece in chunks:
+            stream.append(piece)
+        assert np.array_equal(stream._prev, whole.prev_occ)
+        assert np.array_equal(stream._reuse, whole.reuse_dist)
+
+    # compacting between appends: every row whose previous occurrence is
+    # still retained keeps the exact arrays; the rest read as cold for
+    # every legal box start, so boxes match the reference over the swept
+    # prefix
+    stream = StreamKernel()
+    for piece in pieces:
+        stream.append(piece)
+        if data.draw(st.booleans(), label="compact"):
+            stream.compact(data.draw(st.integers(stream.base, stream.end), label="upto"))
+        base, end = stream.base, stream.end
+        true_prev = whole.prev_occ[base:end]
+        kept = true_prev >= base
+        assert np.array_equal((stream._prev + base)[kept], true_prev[kept])
+        assert np.array_equal(stream._reuse[kept], whole.reuse_dist[base:end][kept])
+        assert (stream._prev[~kept] < 0).all()
+        for start in {base, (base + end) // 2, end}:
+            for height, budget in ((1, 9), (3, 40), (8, 10**4)):
+                assert stream.box(start, height, budget, 5) == run_box(
+                    arr[:end], start, height, budget, 5
+                )
+
+
+@pytest.mark.skipif(native_ops() is None, reason="no native flavor available")
+def test_numpy_reuse_build_matches_native_sweep():
+    ops = native_ops()
+    cold = kernel_mod._COLD
     rng = np.random.default_rng(11)
-    for n in (0, 1, 127, 128, 129, 400, 1200):
-        arr = rng.integers(0, 17, size=n)
-        fast = SequenceKernel(arr)
-        monkeypatch.setattr(kernel_mod, "_VEC_BUILD_MAX", 0)
-        fenwick = SequenceKernel(arr)
-        monkeypatch.undo()
-        assert np.array_equal(fast.prev_occ, fenwick.prev_occ)
-        assert np.array_equal(fast.reuse_dist, fenwick.reuse_dist)
+    for n in (1, 2, 127, 129, 4097, 30000):
+        for pages in (1, 3, 64, n + 1):
+            prev = kernel_mod._prev_occurrence(rng.integers(0, pages, size=n))
+            for start in (0, n // 3, n - 1):
+                want = np.full(n, cold, dtype=np.int64)
+                ops.reuse_sweep(prev, start, n, cold, np.zeros(n + 1, dtype=np.int64), n, want)
+                got = kernel_mod._reuse_distances(prev, start)
+                assert np.array_equal(got[start:], want[start:]), (n, pages, start)
 
 
 # --------------------------------------------------------------------- #
@@ -202,8 +274,13 @@ def test_get_kernel_caches_by_identity_and_by_key():
     arr = np.asarray([0, 1, 0], dtype=np.int64)
     assert get_kernel(arr) is get_kernel(arr)
     other = arr.copy()
-    assert get_kernel(other) is not get_kernel(arr)  # different objects
+    assert get_kernel(other) is get_kernel(arr)  # equal bytes share a kernel
+    assert get_kernel(arr.tolist()) is get_kernel(arr)  # compared as int64
+    assert get_kernel(np.asarray([0, 1, 1], dtype=np.int64)) is not get_kernel(arr)
+    assert get_kernel(arr[:2]) is not get_kernel(arr)
     assert get_kernel(arr, key=("digest", 0)) is get_kernel(other, key=("digest", 0))
+    # shared kernels count their elements once against the cache bound
+    assert kernel_mod._cache_elements == 3 + 3 + 2
     clear_kernel_cache()
 
 
@@ -213,6 +290,7 @@ def test_kernel_cache_is_lru_bounded():
     for arr in keep:
         get_kernel(arr)
     assert len(kernel_mod._CACHE) <= kernel_mod._CACHE_MAX_ENTRIES
+    assert kernel_mod._cache_elements == len(kernel_mod._CACHE)  # evictions released
     # the most recent arrays survive, the oldest were evicted
     assert get_kernel(keep[-1]) is get_kernel(keep[-1])
     clear_kernel_cache()

@@ -96,6 +96,24 @@ class TestStaticPartitionSearch:
         res.validate()
         assert res.makespan == static_partition_makespan(wl, 16, 5)[0]
 
+    def test_each_min_run_happens_once_per_search(self, monkeypatch):
+        # the nested binary searches revisit (processor, capacity) pairs;
+        # each distinct pair runs MIN once, final per-share pass included
+        import repro.parallel.baselines as baselines
+
+        calls = []
+
+        def counted(seq, capacity, s):
+            calls.append((id(seq), capacity))
+            return min_service_time(seq, capacity, s)
+
+        monkeypatch.setattr(baselines, "min_service_time", counted)
+        wl = wl_of(cyclic(100, 6), cyclic(100, 3), scan(50))
+        res = BestStaticPartition(16, 8).run(wl)
+        assert calls and len(calls) == len(set(calls))
+        monkeypatch.undo()
+        assert res.makespan == static_partition_makespan(wl, 16, 8)[0]
+
 
 class TestGlobalLRU:
     def test_validation(self):

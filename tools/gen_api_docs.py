@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 PACKAGES = [
@@ -182,8 +183,8 @@ reuse-distance precompute plus vectorized box evaluation that is
 
 - **Precompute once, probe cheaply.** `SequenceKernel(seq)` computes
   `prev_occ[i]` (previous occurrence of the same page) and
-  `reuse_dist[i]` (distinct pages since then) — a chunked vectorized
-  pass for typical lengths, an O(n log n) Fenwick sweep beyond it.  By
+  `reuse_dist[i]` (distinct pages since then) in one exact O(n log n)
+  vectorized merge-sort count, with no length cutoff.  By
   LRU's inclusion property, request `i` hits in a cold box
   `(start, height)` iff `prev_occ[i] >= start` and
   `reuse_dist[i] < height`, so `run_box_fast(kernel, start, height,
@@ -195,10 +196,12 @@ reuse-distance precompute plus vectorized box evaluation that is
 - **Shared and bounded.** `get_kernel(seq)` / `maybe_kernel(seq)`
   serve kernels from an LRU-bounded cache keyed on array identity
   (weakref-guarded) or an explicit key (trace `content_digest` +
-  processor), so DP solves, schedulers, and replicated experiment
-  cells on the same sequence share one precompute.  `StreamKernel`
-  extends the sweep incrementally for chunked trace streaming, with
-  `compact()` keeping only the active window resident.
+  processor); on a miss the sequence's bytes are hashed (blake2b) and a
+  live kernel of equal content is shared, so DP solves, schedulers, and
+  replicated experiment cells on equal sequences share one precompute,
+  counted once against the cache bound.  `StreamKernel` extends the
+  sweep incrementally for chunked trace streaming (one append per box),
+  with `compact()` keeping only the active window resident.
 - **Escape hatch.** `REPRO_KERNEL=reference` routes every threaded
   call site back to the dict-LRU loop, which is retained as the
   cross-check oracle; `tests/paging/test_kernel.py` pins bit-identical
@@ -271,7 +274,8 @@ byte-identical oracle:
   `ParallelWorkload` (and its exact cache fingerprint) without
   materializing any column.  Box algorithms consume it through
   `make_box_server`, which feeds per-processor `StreamKernel`s
-  chunk-by-chunk just ahead of the execution position and compacts the
+  the chunks each box needs, in one append, just ahead of the execution
+  position and compacts the
   served prefix behind it: resident rows per processor are bounded by
   the largest box budget plus one store chunk, independent of trace
   length (`benchmarks/bench_stream.py` proves it with `tracemalloc` on
@@ -283,9 +287,8 @@ byte-identical oracle:
   simulator back to the retained oracles (per-timestep full rescan for
   GLOBAL-LRU, per-request `run_box` for the box algorithms), mirroring
   `REPRO_KERNEL`; `REPRO_SIM=auto` lets `resolve_sim_backend` pick per
-  cell (event everywhere the kernel batches probes cheaply, reference
-  only for streamed numpy-kernel serving on heavily imbalanced feeds),
-  logging each choice under the `sim.backend.auto` counter.  Both
+  cell (event on every kernel tier but `reference`), logging each
+  choice under the `sim.backend.auto` counter.  Both
   backends — and streamed vs in-memory forms — produce byte-identical
   completion times, box traces, and (wall-stripped) `sim.*` snapshots
   across the `(k, p, algorithm, workload-family)` matrix, powers of two
@@ -444,7 +447,8 @@ def first_line(obj) -> str:
 
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        # drop object addresses from default reprs so regeneration is stable
+        return re.sub(r" at 0x[0-9a-f]+>", ">", str(inspect.signature(obj)))
     except (TypeError, ValueError):
         return "(...)"
 
