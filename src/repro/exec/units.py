@@ -190,6 +190,21 @@ def _adversary_eval(params: Mapping[str, Any]) -> CellOutcome:
     return CellOutcome(value=result, sim_steps=steps, duration_s=time.perf_counter() - t0)
 
 
+def _experiment_cell(params: Mapping[str, Any]) -> CellOutcome:
+    """One table row of an experiment that simulates bespoke runs (E2/E4/E7/E11).
+
+    ``params["experiment"]`` names the measurement function in
+    :data:`repro.experiments.MEASUREMENTS`; it rebuilds its workload from
+    the scalar parameters, so the key stays tiny and pool workers need no
+    handoff.  The value is the raw measurements, never a formatted row.
+    """
+    from ..experiments import MEASUREMENTS
+
+    t0 = time.perf_counter()
+    value, steps = MEASUREMENTS[params["experiment"]](params)
+    return CellOutcome(value=value, sim_steps=int(steps), duration_s=time.perf_counter() - t0)
+
+
 def _green_opt(params: Mapping[str, Any]) -> CellOutcome:
     """Offline-optimal box-profile impact for ``seq`` (the E1/E8/E9 OPT)."""
     from ..core.box import HeightLattice
@@ -212,6 +227,7 @@ UNIT_EXECUTORS: Dict[str, Callable[[Mapping[str, Any]], CellOutcome]] = {
     "det-green": _det_green,
     "green-opt": _green_opt,
     "adversary-eval": _adversary_eval,
+    "experiment-cell": _experiment_cell,
 }
 
 

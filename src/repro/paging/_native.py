@@ -219,16 +219,24 @@ def _compile_cc() -> Optional[ctypes.CDLL]:
         compiler = os.environ.get("CC") or "cc"
         try:
             build.mkdir(parents=True, exist_ok=True)
-            src = build / f"repro_kernel_{digest}.c"
-            src.write_text(_C_SOURCE)
+            # every builder compiles its own private copy of the source and
+            # renames only the finished library into place, so concurrent
+            # pool workers never read a file another one is writing
+            with tempfile.NamedTemporaryFile(
+                "w", dir=build, prefix=f"repro_kernel_{digest}.", suffix=".c", delete=False
+            ) as src:
+                src.write(_C_SOURCE)
             with tempfile.NamedTemporaryFile(
                 dir=build, suffix=suffix + ".tmp", delete=False
             ) as tmp:
                 tmp_path = tmp.name
-            cmd = [compiler, "-O2", "-shared", "-fPIC", "-o", tmp_path, str(src)]
-            proc = subprocess.run(
-                cmd, capture_output=True, timeout=120, check=False
-            )
+            try:
+                cmd = [compiler, "-O2", "-shared", "-fPIC", "-o", tmp_path, src.name]
+                proc = subprocess.run(
+                    cmd, capture_output=True, timeout=120, check=False
+                )
+            finally:
+                os.unlink(src.name)
             if proc.returncode != 0:
                 os.unlink(tmp_path)
                 return None

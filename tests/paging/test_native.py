@@ -15,7 +15,11 @@ compaction) plus the operational surface: backend selection, the
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import os
+import shutil
+import subprocess
 from contextlib import contextmanager
 
 import numpy as np
@@ -25,12 +29,15 @@ from hypothesis import strategies as st
 
 from repro.core.box import HeightLattice
 from repro.green.offline import optimal_box_profile
-from repro.paging._native import NATIVE_ENV, clear_native_cache, native_ops
+from repro.paging import _native
+from repro.paging._native import NATIVE_CACHE_ENV, NATIVE_ENV, clear_native_cache, native_ops
 from repro.paging.engine import run_box
 from repro.paging.kernel import (
     KERNEL_ENV,
     SequenceKernel,
     StreamKernel,
+    _prev_occurrence,
+    _reuse_distances,
     clear_kernel_cache,
     kernel_backend,
     native_flavor,
@@ -244,3 +251,56 @@ def test_native_offline_dp_three_way_identical(seed, k, p_frac, s, n):
     native = solve("native")
     assert native == solve("fast")
     assert native == solve("reference")
+
+
+# --------------------------------------------------------------------- #
+# cc build: concurrent builders share one build directory
+# --------------------------------------------------------------------- #
+
+requires_cc = pytest.mark.skipif(
+    shutil.which(os.environ.get("CC") or "cc") is None, reason="no C compiler"
+)
+
+
+def _shared_source(build_dir) -> "os.PathLike":
+    digest = hashlib.sha256(_native._C_SOURCE.encode()).hexdigest()[:16]
+    return build_dir / f"repro_kernel_{digest}.c"
+
+
+def _assert_library_works(lib) -> None:
+    assert lib is not None
+    arr = np.asarray([0, 1, 2, 0, 1, 3] * 10, dtype=np.int64)
+    prev = _prev_occurrence(arr)
+    reuse = _reuse_distances(prev)
+    out = np.empty(3, dtype=np.int64)
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.repro_box_run.argtypes = [ptr, ptr, i64, i64, i64, i64, i64, ptr]
+    lib.repro_box_run.restype = None
+    lib.repro_box_run(*(a.ctypes.data for a in (prev, reuse)), len(arr), 0, 3, 40, 5, out.ctypes.data)
+    want = run_box(arr, 0, 3, 40, 5)
+    assert out.tolist() == [want.end, want.hits, want.time_used]
+
+
+@requires_cc
+def test_cc_build_ignores_garbage_shared_source(tmp_path, monkeypatch):
+    """A truncated ``repro_kernel_<digest>.c`` left by another builder is harmless."""
+    monkeypatch.setenv(NATIVE_CACHE_ENV, str(tmp_path))
+    _shared_source(tmp_path).write_text("#include <stdint.h>\nvoid repro_box_run(int64_t *")
+    _assert_library_works(_native._compile_cc())
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+@requires_cc
+def test_cc_build_survives_a_concurrent_source_write(tmp_path, monkeypatch):
+    """Another worker rewriting the shared source mid-compile cannot tear this build."""
+    monkeypatch.setenv(NATIVE_CACHE_ENV, str(tmp_path))
+    real_run = subprocess.run
+
+    def racing_run(cmd, **kwargs):
+        _shared_source(tmp_path).write_text("int torn(")  # a half-written copy
+        return real_run(cmd, **kwargs)
+
+    monkeypatch.setattr(_native.subprocess, "run", racing_run)
+    _assert_library_works(_native._compile_cc())
+    # the private source copy is removed after the compile
+    assert sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".c") == [_shared_source(tmp_path).name]

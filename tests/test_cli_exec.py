@@ -71,3 +71,24 @@ def test_telemetry_jsonl_written(tmp_path, capsys):
     run_e1(tmp_path, capsys, "--telemetry", str(out))
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert any(r["cached"] for r in rows)  # warm rerun appended hit records
+
+
+def test_python_dash_m_repro_runs_the_cli(tmp_path):
+    """``python -m repro`` is the same entry point as ``repro``, exit code included."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    listing = subprocess.run(
+        [sys.executable, "-m", "repro", "list"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert listing.returncode == 0, listing.stderr
+    assert "e11" in listing.stdout.split()
+    bad = subprocess.run(
+        [sys.executable, "-m", "repro", "resume", "--runs-dir", str(tmp_path / "runs")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert bad.returncode == 2  # the CLI's own exit code is passed on

@@ -115,6 +115,16 @@ def test_keep_going_renders_fail_rows(tmp_path, capsys):
     assert "failed=" in out  # telemetry line counts them
 
 
+def test_keep_going_renders_lost_e7_row(tmp_path, capsys):
+    with inject_faults("crash:e7/ell=3:0"):
+        rc = main(["e7", "--keep-going", "--no-cache", *args_for(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    row = next(line for line in out.splitlines() if line.startswith("| ") and line.split("|")[1].strip() == "3")
+    assert row.count("FAIL") == 10  # every measured column of the ell=3 row
+    assert "e7/ell=3" in out.split("failed cells", 1)[1]
+
+
 def test_fail_fast_aborts_on_exhausted_cell(tmp_path, capsys):
     with inject_faults("crash:e1/rand-green/multiscale:0"):
         with pytest.raises(UnitExecutionError, match="failed after 1 attempt"):

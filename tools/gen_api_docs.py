@@ -40,8 +40,12 @@ PREAMBLE = """\
 
 Every experiment decomposes into independent **work units** — one
 `(algorithm, workload, seed)` simulation, one lower-bound DP, one
-green-paging replicate — that `repro.exec` runs through an
-`ExecutionEngine`:
+green-paging replicate, or one `experiment-cell` table row of the
+experiments that simulate bespoke runs (E2, E4, E7, E11; its executor
+calls the measurement function in `repro.experiments.MEASUREMENTS` and
+caches raw measurements, never formatted rows) — that `repro.exec` runs
+through an `ExecutionEngine`, so a warm rerun of any experiment is all
+cache hits:
 
 - **Stable runner API.** Configure a run with a frozen
   `RunSpec(algorithm, cache_size, miss_cost, xi, seed)` and pass it (or a
